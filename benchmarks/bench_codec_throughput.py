@@ -12,6 +12,10 @@ helpers.  This bench pins those wins to numbers:
 * the table-driven Huffman decoder against a faithful copy of the seed's
   bit-by-bit decoder on a 2^20-symbol SZ-quantized stream (the acceptance
   floor is 5x),
+* Huffman and SZ encode/decode on the blocks the simulator itself writes
+  during a seeded SZ QFT run, next to the synthetic stream: the synthetic
+  stream costs ~13 bits/symbol, simulator blocks ~3 (median ~1), and a
+  decoder tuned on one alone is mistuned for the other,
 * the engine matrix: the same decode paths once per registered kernel
   engine (``numpy`` and, where installed, the JIT-compiled ``numba``
   engine), with cross-engine bit-identity asserted in every mode and a
@@ -40,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis import format_table
-from repro.circuits import QuantumCircuit
+from repro.circuits import QuantumCircuit, prepare_basis_state, qft_circuit
 from repro.compression import (
     ErrorBoundMode,
     SZCompressor,
@@ -50,6 +54,7 @@ from repro.compression import (
     quantization,
 )
 from repro.compression.huffman import HuffmanCodec
+from repro.compression.sz import DEFAULT_QUANTIZATION_BINS
 from repro.core import CompressedSimulator, SimulatorConfig, effective_cpu_count
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -58,6 +63,8 @@ JSON_PATH = RESULTS_DIR / "BENCH_codec.json"
 
 BLOCK_SIZES = (1 << 14, 1 << 17) if QUICK else (1 << 14, 1 << 17, 1 << 20)
 HUFFMAN_SYMBOLS = 1 << 16 if QUICK else 1 << 20
+#: Register size of the simulator run whose SZ blocks the bench codes.
+QFT_QUBITS = 12 if QUICK else 16
 REPEATS = 2 if QUICK else 3
 SPEEDUP_FLOOR = 5.0
 #: Minimum numba-over-numpy Huffman decode speedup (full mode, numba hosts).
@@ -96,6 +103,54 @@ def _sz_quantized_stream(size: int) -> np.ndarray:
         np.log(mags), quantization.relative_to_log_absolute(1e-3)
     )
     return np.diff(codes, prepend=codes[:1]).astype(np.int64)
+
+
+def _qft_sz_blobs(qubits: int) -> list[bytes]:
+    """Every distinct SZ blob the simulator writes during a seeded QFT run.
+
+    The input is an odd basis state with half its bits set (the end-to-end
+    benchmark's QFT input); gates are applied one at a time so the blocks of
+    every intermediate state are collected, not just the final ones.
+    """
+
+    rng = np.random.default_rng(16)
+    ones = rng.choice(np.arange(1, qubits), size=qubits // 2 - 1, replace=False)
+    circuit = QuantumCircuit(qubits, name="qft_blocks")
+    circuit.compose(prepare_basis_state(qubits, 1 + sum(1 << int(bit) for bit in ones)))
+    circuit.compose(qft_circuit(qubits))
+    config = SimulatorConfig(
+        lossy_compressor="sz", start_lossless=False, error_levels=(1e-3,)
+    )
+    blobs: dict[bytes, None] = {}
+    with CompressedSimulator(qubits, config) as simulator:
+        for gate in circuit:
+            simulator.apply_gate(gate)
+            blobs.update(dict.fromkeys(e.blob for _, e in simulator.state.iter_blocks()))
+    return list(blobs)
+
+
+def _sz_symbols(values: np.ndarray, bound: float = 1e-3) -> np.ndarray:
+    """The symbol stream SZ's relative mode hands to Huffman for *values*."""
+
+    log_mag, _, _ = quantization.log_transform(values)
+    codes = quantization.quantize(log_mag, quantization.relative_to_log_absolute(bound))
+    deltas = np.diff(codes, prepend=0)
+    half_bins = DEFAULT_QUANTIZATION_BINS // 2
+    predictable = np.abs(deltas) < half_bins
+    predictable[0] = False  # the first value is always an escape
+    return np.where(predictable, deltas, half_bins).astype(np.int64)
+
+
+def _bits_per_symbol(blobs: list[bytes]) -> float:
+    """Mean coded bits per symbol over Huffman blobs (from their headers)."""
+
+    symbols = bits = 0
+    for blob in blobs:
+        count, book_len = struct.unpack_from("<QI", blob, 0)
+        (total_bits,) = struct.unpack_from("<Q", blob, 12 + book_len)
+        symbols += count
+        bits += total_bits
+    return bits / symbols
 
 
 def _best_seconds(fn, repeats: int = REPEATS) -> float:
@@ -202,6 +257,77 @@ def test_huffman_decode_speedup_vs_seed(emit):
     )
     if not QUICK:
         assert speedup >= SPEEDUP_FLOOR
+
+
+def test_simulator_blocks_vs_synthetic_stream(emit):
+    """Huffman and SZ timings on simulator blocks beside the synthetic stream.
+
+    The blocks come from a seeded QFT run with SZ at 1e-3 from the start —
+    the end-to-end benchmark's ``qft16-sz`` workload in full mode.  Every
+    engine must decode every block's Huffman stream and SZ blob
+    bit-identically (asserted in every mode); the timings are recorded, not
+    gated.
+    """
+
+    sz = SZCompressor(bound=1e-3)
+    blobs = _qft_sz_blobs(QFT_QUBITS)
+    blocks = [sz.decompress(blob) for blob in blobs]
+    streams = {
+        "synthetic": [_sz_quantized_stream(HUFFMAN_SYMBOLS)],
+        f"qft{QFT_QUBITS}-sz blocks": [_sz_symbols(block) for block in blocks],
+    }
+    for engine in sorted(available_engines()):
+        codec = SZCompressor(bound=1e-3, engine=engine)
+        for blob, block in zip(blobs, blocks):
+            assert np.array_equal(codec.decompress(blob), block), engine
+
+    rows = []
+    results = {}
+    for name, symbol_streams in streams.items():
+        huff_blobs = [huffman.encode(stream) for stream in symbol_streams]
+        for engine in sorted(available_engines()):
+            codec = HuffmanCodec(engine=engine)
+            for stream, blob in zip(symbol_streams, huff_blobs):
+                assert codec.encode(stream) == blob, engine
+                assert np.array_equal(codec.decode(blob), stream), engine
+        encode_s = _best_seconds(lambda: [huffman.encode(s) for s in symbol_streams])
+        decode_s = _best_seconds(lambda: [huffman.decode(b) for b in huff_blobs])
+        count = sum(stream.size for stream in symbol_streams)
+        results[name] = {
+            "streams": len(symbol_streams),
+            "symbols": count,
+            "bits_per_symbol": _bits_per_symbol(huff_blobs),
+            "huffman_encode_seconds": encode_s,
+            "huffman_decode_seconds": decode_s,
+            "huffman_encode_msym_s": count / encode_s / 1e6,
+            "huffman_decode_msym_s": count / decode_s / 1e6,
+        }
+        rows.append(
+            {
+                "input": name,
+                "streams": len(symbol_streams),
+                "bits/symbol": f"{results[name]['bits_per_symbol']:.2f}",
+                "encode_msym_s": f"{count / encode_s / 1e6:.2f}",
+                "decode_msym_s": f"{count / decode_s / 1e6:.2f}",
+            }
+        )
+
+    mb = sum(block.nbytes for block in blocks) / 1e6
+    compress_s = _best_seconds(lambda: [sz.compress(block) for block in blocks])
+    decompress_s = _best_seconds(lambda: [sz.decompress(blob) for blob in blobs])
+    results["sz_blocks"] = {
+        "blocks": len(blocks),
+        "compress_mb_s": mb / compress_s,
+        "decompress_mb_s": mb / decompress_s,
+    }
+    _merge_json("simulator_blocks", {"qubits": QFT_QUBITS, "results": results})
+    emit(
+        f"Huffman on simulator blocks vs the synthetic stream "
+        f"({len(blocks)} distinct SZ blocks of a {QFT_QUBITS}-qubit QFT run)",
+        format_table(rows)
+        + f"\nSZ on the same blocks: compress {mb / compress_s:.1f} MB/s, "
+        f"decompress {mb / decompress_s:.1f} MB/s",
+    )
 
 
 def test_engine_matrix(emit):

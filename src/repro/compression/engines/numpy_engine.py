@@ -33,14 +33,27 @@ from ..quantization import dequantize, quantize
 
 __all__ = ["CodecEngine", "NumpyEngine"]
 
-#: Symbols decoded per chunk by the wavefront (must be a power of two).  The
-#: anchor ladder runs ``ceil(count / chunk)`` Python iterations and the
-#: wavefront ``chunk`` iterations; jump composition needs ``log2(chunk)``
-#: passes over the bit-offset table.  The composition passes stream through
-#: memory proportional to the *bit* length of the stream, the ladder costs a
-#: couple hundred nanoseconds per chunk — 4 symbols per chunk balances the
-#: two on block-sized streams.
-_CHUNK_LOG2 = 2
+#: Bits of stream each wavefront chunk aims to cover.  The anchor ladder
+#: runs ``ceil(count / chunk)`` Python iterations (a couple hundred
+#: nanoseconds each) and the wavefront ``chunk`` iterations; jump composition
+#: needs ``log2(chunk)`` passes over the bit-offset table, which stream
+#: through memory proportional to the *bit* length of the stream.  So the
+#: best chunk is measured in bits, not symbols: a ~1 bit/symbol block wants
+#: wide chunks (few ladder steps, cheap passes over a short stream), a
+#: 13 bits/symbol stream narrow ones.  ~64 bits per chunk balances the two on
+#: both; the symbol count per chunk is clamped to [4, 32].
+_CHUNK_BITS = 64
+_MIN_CHUNK_LOG2 = 2
+_MAX_CHUNK_LOG2 = 5
+
+
+def _chunk_log2(count: int, total_bits: int) -> int:
+    """log2 of the symbols per wavefront chunk for a stream's bits/symbol."""
+
+    per_chunk = _CHUNK_BITS * count // max(total_bits, 1)
+    chunk_log2 = min(max(per_chunk.bit_length() - 1, _MIN_CHUNK_LOG2), _MAX_CHUNK_LOG2)
+    # Never wider than the stream itself.
+    return min(chunk_log2, max(count - 1, 1).bit_length())
 
 
 _ARANGE_CACHE = np.zeros(0, dtype=np.int64)
@@ -286,28 +299,34 @@ class NumpyEngine(CodecEngine):
             else None
         )
 
+        chunk_log2 = _chunk_log2(count, total_bits)
+        chunk = 1 << chunk_log2
+        num_chunks = -(-count // chunk)
+
+        # Windows and code lengths cover the stream plus a zero-bit tail one
+        # chunk of maximum-length codes wide, so the wavefront's cursors can
+        # run off the end without clamping; whatever they read there belongs
+        # to no decoded symbol.
         num_bytes = (total_bits + 7) // 8
+        span_bits = total_bits + chunk * max_len
+        span_bytes = (span_bits + 7) // 8
         padded = np.concatenate(
-            [packed[:num_bytes], np.zeros(9, dtype=np.uint8)]
+            [packed[:num_bytes], np.zeros(span_bytes - num_bytes + 9, dtype=np.uint8)]
         )
-        windows = _windows_at_every_offset(padded, num_bytes, total_bits, window_bits)
+        windows = _windows_at_every_offset(padded, span_bytes, span_bits, window_bits)
 
         # Code length at every bit offset; garbage offsets (no real code
         # starts there) get whatever code their bits happen to spell, which
-        # is harmless — the composed jumps below are only ever *read* along
-        # the one chain of true code starts.
+        # is harmless — the composed jumps below and the wavefront only ever
+        # *read* them along the one chain of true code starts.
         bit_len = table_len[windows]
         if has_long_codes:
-            escapes = np.flatnonzero(bit_len == 0)
+            escapes = np.flatnonzero(bit_len[:total_bits] == 0)
             if escapes.size:
                 _, esc_len = _resolve_long_codes(
                     padded, escapes, lengths, codes, left_justified64
                 )
                 bit_len[escapes] = esc_len
-
-        chunk_log2 = min(_CHUNK_LOG2, max(count - 1, 1).bit_length())
-        chunk = 1 << chunk_log2
-        num_chunks = -(-count // chunk)
 
         # Stage 2: jump composition.  jump[p] = bits advanced by decoding
         # 2^r codes starting at offset p; doubled log2(chunk) times.  The
@@ -319,11 +338,12 @@ class NumpyEngine(CodecEngine):
         # index ever needs clamping: composed jumps are bounded by
         # chunk * max_len and pad jumps collapse onto the zero tail.
         pad_bits = chunk * max(64, max_len) + 64
-        # Composed jumps are bounded by chunk * max_len, so they almost
-        # always fit uint8 — a quarter of the int32 traffic per pass.
-        jump_dtype = np.uint8 if chunk * max_len <= 255 else np.int32
+        # Composed jumps are bounded by chunk * max_len <= 32 * 64, so they
+        # always fit uint16 and often uint8 — a half or a quarter of the
+        # int32 traffic per pass.
+        jump_dtype = np.uint8 if chunk * max_len <= 255 else np.uint16
         jump = _scratch("jump", total_bits + pad_bits, jump_dtype)
-        np.maximum(bit_len, 1, out=jump[:total_bits], casting="unsafe")
+        np.maximum(bit_len[:total_bits], 1, out=jump[:total_bits], casting="unsafe")
         jump[total_bits:-64] = 1
         jump[-64:] = 0
         anchors = np.zeros(num_chunks, dtype=np.int64)
@@ -342,32 +362,24 @@ class NumpyEngine(CodecEngine):
             if anchors[-1] >= total_bits:
                 raise CompressorError("Huffman stream exhausted prematurely")
 
-        # Stage 3: wavefront — decode every chunk in lock-step; the loop runs
-        # `chunk` times however long the stream is.
-        idx_rows = np.empty((chunk, num_chunks), dtype=np.int32)
+        # Stage 3: wavefront — walk every chunk in lock-step, recording each
+        # code's start; the loop runs `chunk` times however long the stream
+        # is.  The codes themselves are then looked up in one pass.
+        starts = np.empty((num_chunks, chunk), dtype=np.int64)
         cursor = anchors
-        limit = total_bits - 1
-        last_lane = (count - 1) // chunk
-        last_slot = (count - 1) % chunk
-        last_pos = 0
         for t in range(chunk):  # fixed chunk width, independent of count
-            safe = np.minimum(cursor, limit)
-            w = windows[safe]
-            ids = table_idx[w]
-            lens = table_len[w]
-            if has_long_codes:
-                miss = np.flatnonzero(ids == n)
-                if miss.size:
-                    esc_idx, esc_len = _resolve_long_codes(
-                        padded, safe[miss], lengths, codes, left_justified64
-                    )
-                    ids[miss] = esc_idx
-                    lens[miss] = esc_len
-            idx_rows[t] = ids
-            if t == last_slot:
-                last_pos = int(cursor[last_lane])
-            cursor = cursor + lens
-        flat_idx = idx_rows.T.reshape(-1)[:count]
+            starts[:, t] = cursor
+            cursor += bit_len[cursor]
+        flat_starts = starts.reshape(-1)[:count]
+        last_pos = int(flat_starts[-1])
+        flat_idx = table_idx[windows[flat_starts]]
+        if has_long_codes:
+            miss = np.flatnonzero(flat_idx == n)
+            if miss.size:
+                esc_idx, _ = _resolve_long_codes(
+                    padded, flat_starts[miss], lengths, codes, left_justified64
+                )
+                flat_idx[miss] = esc_idx
 
         last_idx = int(flat_idx[-1])
         if last_idx == n or last_pos + int(lengths[last_idx]) > total_bits:

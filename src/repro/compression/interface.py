@@ -313,7 +313,11 @@ def unpack_header(blob: bytes) -> tuple[int, int, bytes, int]:
 
     if blob[:4] != _MAGIC:
         raise CompressorError("not a repro compression blob (bad magic)")
-    tag, extra_len, count = struct.unpack_from("<BIQ", blob, 4)
     offset = 4 + struct.calcsize("<BIQ")
+    if len(blob) < offset:
+        raise CompressorError("compression blob truncated (header)")
+    tag, extra_len, count = struct.unpack_from("<BIQ", blob, 4)
+    if len(blob) < offset + extra_len:
+        raise CompressorError("compression blob truncated (header extra)")
     extra = blob[offset : offset + extra_len]
     return tag, count, extra, offset + extra_len

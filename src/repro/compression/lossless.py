@@ -45,6 +45,10 @@ _BACKENDS = {
     "bz2": (lambda raw, level: bz2.compress(raw, min(max(level, 1), 9)), bz2.decompress),
 }
 
+#: What the stdlib decoders raise on a corrupt or truncated stream (bz2
+#: reports bad data as OSError, lzma and bz2 a cut stream as EOFError).
+_DECODE_ERRORS = (zlib.error, lzma.LZMAError, OSError, EOFError)
+
 _BACKEND_IDS = {"zlib": 0, "lzma": 1, "bz2": 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
@@ -66,7 +70,10 @@ def lossless_decompress_bytes(blob: bytes, backend: str = "zlib") -> bytes:
         _, decompress = _BACKENDS[backend]
     except KeyError as exc:
         raise CompressorError(f"unknown lossless backend {backend!r}") from exc
-    return decompress(blob)
+    try:
+        return decompress(blob)
+    except _DECODE_ERRORS as exc:
+        raise CompressorError(f"corrupt {backend} stream: {exc}") from exc
 
 
 class LosslessCompressor(Compressor):

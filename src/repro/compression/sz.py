@@ -108,10 +108,19 @@ def decompress_absolute_stream(
 
     impl = resolve_engine(engine)
     payload = lossless_decompress_bytes(blob, backend)
-    bound, max_bins, num_escapes = struct.unpack_from("<dIQ", payload, 0)
-    offset = struct.calcsize("<dIQ")
-    (huff_len,) = struct.unpack_from("<Q", payload, offset)
-    offset += 8
+    offset = struct.calcsize("<dIQQ")
+    if len(payload) < offset:
+        raise CompressorError("SZ payload truncated (header)")
+    bound, max_bins, num_escapes, huff_len = struct.unpack_from("<dIQQ", payload, 0)
+    # Both lengths are checked against the bytes present before they size a
+    # read: the Huffman blob must fit, and exactly the escape values follow.
+    if huff_len > len(payload) - offset:
+        raise CompressorError("SZ payload truncated (Huffman stream)")
+    if num_escapes * 8 != len(payload) - offset - huff_len:
+        raise CompressorError(
+            f"SZ payload holds {len(payload) - offset - huff_len} escape bytes, "
+            f"header claims {num_escapes} values"
+        )
     bounded = huffman.HuffmanCodec(engine=impl).decode(
         payload[offset : offset + huff_len]
     )

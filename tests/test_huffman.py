@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression import huffman
+from repro.compression import ErrorBoundMode, SZCompressor, huffman
 from repro.compression.interface import CompressorError
+from repro.compression.sz import compress_absolute_stream, decompress_absolute_stream
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +69,7 @@ class TestRoundTrip:
     def test_truncated_stream_raises(self, huff):
         symbols = np.arange(100, dtype=np.int64)
         blob = huff.encode(symbols)
-        with pytest.raises(Exception):
+        with pytest.raises(CompressorError):
             huff.decode(blob[: len(blob) // 2])
 
     def test_codec_class_and_module_functions_agree(self, huff):
@@ -80,3 +81,53 @@ class TestRoundTrip:
         # codec's blobs and vice versa.
         assert np.array_equal(huffman.decode(huff.encode(symbols)), symbols)
         assert np.array_equal(huff.decode(huffman.encode(symbols)), symbols)
+
+
+class TestTruncatedBlobs:
+    """Every cut of a blob decodes or raises CompressorError, nothing else."""
+
+    @staticmethod
+    def _assert_prefixes_typed(decode, blob, expected):
+        for cut in range(len(blob)):
+            try:
+                decoded = decode(blob[:cut])
+            except CompressorError:
+                continue
+            assert np.array_equal(decoded, expected), cut
+
+    def test_every_huffman_prefix(self, huff, rng):
+        symbols = rng.integers(-20, 20, size=300).astype(np.int64)
+        blob = huff.encode(symbols)
+        self._assert_prefixes_typed(huff.decode, blob, symbols)
+
+    def test_overstated_book_entries(self, huff):
+        blob = bytearray(huff.encode(np.array([1, 2, 3] * 40, dtype=np.int64)))
+        for entries in (4, 1000, 2**32 - 1):
+            blob[12:16] = entries.to_bytes(4, "little")
+            with pytest.raises(CompressorError, match="code book"):
+                huff.decode(bytes(blob))
+
+    def test_overstated_symbol_count(self, huff):
+        # More symbols than stream bits is impossible (codes are >= 1 bit).
+        blob = bytearray(huff.encode(np.arange(64, dtype=np.int64)))
+        blob[0:8] = (2**40).to_bytes(8, "little")
+        with pytest.raises(CompressorError, match="exhausted"):
+            huff.decode(bytes(blob))
+
+    def test_every_sz_absolute_stream_prefix(self, engine, rng):
+        data = np.cumsum(rng.normal(0.0, 1e-2, 400))
+        blob = compress_absolute_stream(data, 1e-3, 16, "zlib", 6, engine=engine)
+        expected = decompress_absolute_stream(blob, data.size, "zlib", engine=engine)
+        self._assert_prefixes_typed(
+            lambda cut: decompress_absolute_stream(cut, data.size, "zlib", engine=engine),
+            blob,
+            expected,
+        )
+
+    @pytest.mark.parametrize("mode", [ErrorBoundMode.ABSOLUTE, ErrorBoundMode.RELATIVE])
+    def test_every_sz_blob_prefix(self, engine, mode, rng):
+        compressor = SZCompressor(bound=1e-3, mode=mode, engine=engine)
+        blob = compressor.compress(rng.normal(0.0, 1.0, 300))
+        self._assert_prefixes_typed(
+            compressor.decompress, blob, compressor.decompress(blob)
+        )
